@@ -87,7 +87,7 @@ inline std::string bench_output_path(const std::string& bench_name) {
 /// unsharded bitwise check in CI sets this on both sides).
 inline bool bench_zero_wall() { return env_u64("SMT_BENCH_ZERO_WALL", 0, 1).value_or(0) == 1; }
 
-/// SMT_TRACE_CACHE_STATS=1: attach the shared warm-cache counters as
+/// SMT_TRACE_CACHE_STATS=1: attach the shared trace cache's counters as
 /// "trace_cache.*" meta entries. Off by default — the counters depend on
 /// scheduling and on whether the cache is enabled at all, so emitting them
 /// unconditionally would break the byte-identity contract between

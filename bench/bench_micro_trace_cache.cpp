@@ -1,14 +1,16 @@
-// Micro-bench: trace generation vs warm-cache replay on the fig1 grid.
+// Micro-bench: trace generation vs shared-trace replay on the fig1 grid.
 //
 // Two measurements:
 //   1. Stream level (always): for every distinct (benchmark, tid, seed)
 //      trace key the fig1 grid touches, time generating N instructions
-//      from scratch with TraceStream vs replaying the same N from a warm
-//      MaterializedTrace through ReplayStream. Checksums of both passes
-//      must agree — the bench doubles as a determinism check.
+//      from scratch with TraceStream vs replaying the same N through
+//      ReplayStream from a MaterializedTrace filled before timing starts.
+//      Checksums of both passes must agree — the bench doubles as a
+//      determinism check.
 //   2. End to end (SMT_MICRO_E2E=1, default on): wall clock of the full
-//      fig1 grid through the ExperimentEngine with the cache off, cold,
-//      and warm.
+//      fig1 grid through the ExperimentEngine with traces generated per
+//      run (cache off) and shared. A second shared pass would find nothing
+//      retained: traces live only while runs of their group hold them.
 //
 // Environment:
 //   SMT_MICRO_TRACE_INSTS  instructions per stream pass  (default 200000)
@@ -129,7 +131,8 @@ int main() {
       return std::chrono::duration<double>(Clock::now() - t0).count();
     });
 
-    const auto trace = std::make_shared<const MaterializedTrace>(prof, id.tid, id.seed, n);
+    const auto trace = std::make_shared<MaterializedTrace>(prof, id.tid, id.seed, n);
+    (void)trace->publish_through(n - 1);  // time replay, not generation
     std::uint64_t replay_sum = 0;
     const double replay_s = best_of(reps, [&] {
       ReplayStream s(trace);
@@ -160,7 +163,7 @@ int main() {
                  fmt(stream_speedup, 2) + "x"});
   table.print(std::cout);
 
-  // End to end: the fig1 grid through the engine, cache off vs cold vs warm.
+  // End to end: the fig1 grid through the engine, cache off vs shared.
   if (env_u64("SMT_MICRO_E2E", 0, 1).value_or(1) == 1) {
     RunLength len;
     len.warmup_insts = 2500;
@@ -177,19 +180,17 @@ int main() {
     const double off_s = grid_pass(grid);
     setenv("SMT_TRACE_CACHE", "1", 1);
     TraceCache::shared().clear();
-    const double cold_s = grid_pass(grid);
-    const double warm_s = grid_pass(grid);
+    const double shared_s = grid_pass(grid);
     const TraceCacheStats st = TraceCache::shared().stats();
 
     std::cout << "\nfig1 grid end-to-end (" << len.warmup_insts << "+" << len.measure_insts
               << " insts/run):\n";
     ReportTable e2e({"mode", "wall", "vs off"});
     e2e.add_row({"cache off", fmt(off_s, 3) + " s", "1.00x"});
-    e2e.add_row({"cache cold", fmt(cold_s, 3) + " s", fmt(off_s / cold_s, 2) + "x"});
-    e2e.add_row({"cache warm", fmt(warm_s, 3) + " s", fmt(off_s / warm_s, 2) + "x"});
+    e2e.add_row({"shared", fmt(shared_s, 3) + " s", fmt(off_s / shared_s, 2) + "x"});
     e2e.print(std::cout);
-    std::cout << "cache: " << st.hits << " hits, " << st.misses << " misses, "
-              << st.evictions << " evictions, " << (st.bytes >> 20) << " MiB cached\n";
+    std::cout << "shared: " << st.hits << " hits, " << st.misses << " misses, "
+              << st.materialized_insts << " insts materialized\n";
   }
 
   std::cout << "\nstream-level replay speedup: " << fmt(stream_speedup, 2) << "x\n";

@@ -55,7 +55,7 @@ class CounterSampler;
 }
 
 /// The instruction supply of one hardware context. The stream may be a
-/// generating TraceStream or a warm-cache ReplayStream — the core cannot
+/// generating TraceStream or a shared-trace ReplayStream — the core cannot
 /// tell (and must not be able to tell) the difference.
 struct ThreadProgram {
   InstStream* stream = nullptr;           ///< correct-path instructions

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -82,17 +83,81 @@ SoloIpcMap ResultSet::solo_ipcs(std::string_view machine,
   return solo;
 }
 
+namespace {
+
+/// Holds each (workload, seed) group's shared traces from the start of the
+/// group's first run to the end of its last, so every run of the group
+/// replays one generation even when the runs do not overlap in time (one
+/// worker, or more runs per group than workers). A trace only grows as far
+/// as its furthest reader, so a pin costs the group's read prefix, not its
+/// whole window.
+class GroupPins {
+ public:
+  /// Groups are the maximal runs of `order` sharing (workload, seed), the
+  /// units batch_order keeps contiguous. No groups when sharing is off.
+  GroupPins(const std::vector<RunSpec>& specs, const std::vector<std::size_t>& order)
+      : specs_(specs), group_of_(specs.size()) {
+    if (!trace_cache_enabled()) return;
+    for (const std::size_t i : order) {
+      const RunSpec& s = specs[i];
+      if (groups_.empty() || s.workload.name != specs[groups_.back()->first].workload.name ||
+          s.seed != specs[groups_.back()->first].seed) {
+        groups_.push_back(std::make_unique<Group>());
+        groups_.back()->first = i;
+      }
+      Group& g = *groups_.back();
+      g.insts = std::max(g.insts, trace_window_insts(s.len));
+      ++g.unfinished;
+      group_of_[i] = groups_.size() - 1;
+    }
+  }
+
+  /// Run `i` is starting: the group's first run acquires its traces.
+  void enter(std::size_t i) {
+    if (groups_.empty()) return;
+    Group& g = *groups_[group_of_[i]];
+    std::lock_guard lk(g.mu);
+    if (g.traces.empty()) {
+      const RunSpec& first = specs_[g.first];
+      g.traces = acquire_run_traces(first.workload, first.seed, g.insts);
+    }
+  }
+
+  /// Run `i` has finished: the group's last run releases its traces.
+  void leave(std::size_t i) {
+    if (groups_.empty()) return;
+    Group& g = *groups_[group_of_[i]];
+    std::lock_guard lk(g.mu);
+    if (--g.unfinished == 0) g.traces.clear();
+  }
+
+ private:
+  struct Group {
+    std::mutex mu;
+    std::size_t first = 0;     ///< grid index of the group's first run
+    std::uint64_t insts = 0;   ///< largest trace demand of the group's runs
+    std::size_t unfinished = 0;
+    std::vector<std::shared_ptr<MaterializedTrace>> traces;
+  };
+
+  const std::vector<RunSpec>& specs_;
+  std::vector<std::unique_ptr<Group>> groups_;
+  std::vector<std::size_t> group_of_;  ///< grid index -> group
+};
+
+}  // namespace
+
 std::vector<std::size_t> ExperimentEngine::batch_order(const std::vector<RunSpec>& specs) {
   std::vector<std::size_t> order(specs.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   if (specs.size() < 2 || !trace_cache_enabled()) return order;
-  // Warm-cache batching: all policy/machine/tag variants of one
+  // Shared-trace batching: all policy/machine/tag variants of one
   // (workload, seed) grid point share the same per-thread trace keys, so
-  // executing them back-to-back turns every run after the group's first
-  // into pure replay — and keeps the cache's working set one group wide
-  // instead of one grid wide. The stable sort preserves expansion order
-  // inside a group; records are still indexed by grid position, so the
-  // ResultSet (and every serialized byte) is unchanged.
+  // executing them back-to-back lets them share one generation — and keeps
+  // the live traces one group wide instead of one grid wide. The stable
+  // sort preserves expansion order inside a group; records are still
+  // indexed by grid position, so the ResultSet (and every serialized byte)
+  // is unchanged.
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     const RunSpec& x = specs[a];
     const RunSpec& y = specs[b];
@@ -105,6 +170,7 @@ std::vector<std::size_t> ExperimentEngine::batch_order(const std::vector<RunSpec
 ResultSet ExperimentEngine::run(const std::vector<RunSpec>& specs) const {
   std::vector<RunRecord> records(specs.size());
   const std::vector<std::size_t> order = batch_order(specs);
+  GroupPins pins(specs, order);
   std::mutex done_mu;
   std::size_t done = 0;
   pool_->for_each(
@@ -113,6 +179,12 @@ ResultSet ExperimentEngine::run(const std::vector<RunSpec>& specs) const {
         const std::size_t i = order[job];
         const RunSpec& s = specs[i];
         const auto t0 = std::chrono::steady_clock::now();
+        pins.enter(i);
+        struct Leave {
+          GroupPins& pins;
+          std::size_t i;
+          ~Leave() { pins.leave(i); }
+        } leave{pins, i};
         Simulator sim(s.machine.build(s.workload.num_threads()), s.workload, s.policy,
                       s.params, s.seed, trace_window_insts(s.len));
         SimResult result;

@@ -94,10 +94,11 @@ class ExperimentEngine {
       std::function<void(std::size_t done, std::size_t total, const RunRecord& rec)>;
   void set_observer(RunObserver observer) { observer_ = std::move(observer); }
 
-  /// Execution order of `specs` (a permutation of grid indices). With the
-  /// warm trace cache on, runs are grouped by (workload, seed) so every
-  /// variant of a grid point replays the group's materialized traces while
-  /// they are hot; result indices are unaffected. Exposed as a test hook.
+  /// Execution order of `specs` (a permutation of grid indices). With
+  /// shared traces on, runs are grouped by (workload, seed), and run()
+  /// holds each group's traces from its first run's start to its last
+  /// run's end, so every variant of a grid point replays one generation;
+  /// result indices are unaffected. Exposed as a test hook.
   [[nodiscard]] static std::vector<std::size_t> batch_order(
       const std::vector<RunSpec>& specs);
 

@@ -25,10 +25,8 @@ std::map<std::string, std::string> worker_env(std::size_t jobs) {
   const std::size_t total_workers = static_cast<std::size_t>(
       env_u64("SMT_SIM_WORKERS", 1, 4096)
           .value_or(std::max(1u, std::thread::hardware_concurrency())));
-  const std::size_t budget_mb = trace_cache_budget_bytes() >> 20;
   return {
       {"SMT_SIM_WORKERS", std::to_string(std::max<std::size_t>(1, total_workers / jobs))},
-      {"SMT_TRACE_CACHE_MB", std::to_string(std::max<std::size_t>(1, budget_mb / jobs))},
       {"SMT_BENCH_ZERO_WALL", "1"},
   };
 }
@@ -163,7 +161,7 @@ std::string matrix_json(const DispatchPlan& plan) {
     }
     std::string env;
     for (const auto& [k, v] : u.env) {
-      if (k == "SMT_SIM_WORKERS" || k == "SMT_TRACE_CACHE_MB") continue;
+      if (k == "SMT_SIM_WORKERS") continue;
       env += (env.empty() ? "" : " ") + k + "=" + v;
     }
     os << (i == 0 ? "" : ", ")

@@ -5,12 +5,11 @@
 // the same deterministic ShardPlan that `smt_shard run --shard K/N` will
 // recompute inside each worker. Every unit carries the environment its
 // worker must run under (SMT_SIM_WORKERS split across the job slots,
-// SMT_BENCH_ZERO_WALL for bitwise-comparable fragments, the trace-cache
-// budget divided so J concurrent workers respect the aggregate budget),
-// so a launcher is a pure "run this unit" mechanism with no sweep
-// knowledge of its own. The plan also records the grid fingerprint, which
-// the MergeStage re-checks against every fragment — a worker that somehow
-// ran a different grid is refused, never merged.
+// SMT_BENCH_ZERO_WALL for bitwise-comparable fragments), so a launcher
+// is a pure "run this unit" mechanism with no sweep knowledge of its own.
+// The plan also records the grid fingerprint, which the MergeStage
+// re-checks against every fragment — a worker that somehow ran a
+// different grid is refused, never merged.
 #pragma once
 
 #include <cstddef>
@@ -77,7 +76,6 @@ struct DispatchPlan {
 
 /// The per-worker environment shared by every unit of a plan:
 ///   SMT_SIM_WORKERS     total worker threads (env or hardware) / jobs
-///   SMT_TRACE_CACHE_MB  configured budget / jobs (aggregate preserved)
 ///   SMT_BENCH_ZERO_WALL "1" — fragments must be bitwise-comparable
 [[nodiscard]] std::map<std::string, std::string> worker_env(std::size_t jobs);
 
@@ -104,10 +102,9 @@ struct DispatchPlan {
 ///                   space-joined (no argument the planner emits needs
 ///                   shell quoting)
 ///   env             space-joined K=V assignments for the runner. The
-///                   per-host split vars (SMT_SIM_WORKERS,
-///                   SMT_TRACE_CACHE_MB) are dropped — every matrix leg
-///                   owns a whole runner — while the bitwise-identity
-///                   vars (SMT_BENCH_ZERO_WALL) are kept.
+///                   per-host split var (SMT_SIM_WORKERS) is dropped —
+///                   every matrix leg owns a whole runner — while the
+///                   bitwise-identity vars (SMT_BENCH_ZERO_WALL) are kept.
 ///   fragment        the fragment filename the leg must upload
 ///   fingerprint     grid fingerprint, so the merge job can assert every
 ///                   leg planned the same grid

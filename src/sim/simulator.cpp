@@ -97,6 +97,19 @@ std::uint64_t trace_window_insts(const RunLength& len) {
   return len.warmup_insts + len.measure_insts + kSlackInsts;
 }
 
+std::vector<std::shared_ptr<MaterializedTrace>> acquire_run_traces(
+    const WorkloadSpec& workload, std::uint64_t seed, std::uint64_t insts) {
+  std::vector<std::shared_ptr<MaterializedTrace>> traces;
+  traces.reserve(workload.num_threads());
+  for (std::size_t t = 0; t < workload.num_threads(); ++t) {
+    traces.push_back(TraceCache::shared().acquire(profile_of(workload.benchmarks[t]),
+                                                  static_cast<ThreadId>(t),
+                                                  thread_stream_seed(workload, t, seed),
+                                                  insts));
+  }
+  return traces;
+}
+
 Simulator::Simulator(const MachineConfig& machine, const WorkloadSpec& workload,
                      PolicyKind policy, const PolicyParams& params, std::uint64_t seed,
                      std::uint64_t trace_insts_hint)
@@ -108,10 +121,13 @@ Simulator::Simulator(const MachineConfig& machine, const WorkloadSpec& workload,
   bpred_ = std::make_unique<FrontEndPredictor>(machine_.bpred, workload_.num_threads(),
                                                stats_);
 
-  // Warm trace cache: with a demand hint and SMT_TRACE_CACHE on, threads
+  // Shared traces: with a demand hint and SMT_TRACE_CACHE on, threads
   // replay shared MaterializedTrace buffers; the instruction sequences are
   // bit-identical to on-demand generation either way.
-  const bool replay = trace_insts_hint > 0 && trace_cache_enabled();
+  std::vector<std::shared_ptr<MaterializedTrace>> traces;
+  if (trace_insts_hint > 0 && trace_cache_enabled()) {
+    traces = acquire_run_traces(workload_, seed, trace_insts_hint);
+  }
 
   std::vector<ThreadProgram> programs;
   programs.reserve(workload_.num_threads());
@@ -119,9 +135,8 @@ Simulator::Simulator(const MachineConfig& machine, const WorkloadSpec& workload,
     const Benchmark b = workload_.benchmarks[t];
     const std::uint64_t tseed = thread_stream_seed(workload_, t, seed);
     const auto tid = static_cast<ThreadId>(t);
-    if (replay) {
-      streams_.push_back(std::make_unique<ReplayStream>(
-          TraceCache::shared().acquire(profile_of(b), tid, tseed, trace_insts_hint)));
+    if (!traces.empty()) {
+      streams_.push_back(std::make_unique<ReplayStream>(std::move(traces[t])));
     } else {
       streams_.push_back(std::make_unique<TraceStream>(profile_of(b), tid, tseed));
     }

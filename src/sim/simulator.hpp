@@ -24,6 +24,7 @@ namespace dwarn {
 namespace telem {
 class CounterSampler;
 }
+class MaterializedTrace;
 
 /// Run-length controls. `from_env` honors:
 ///   SMT_BENCH_WINDOWS "<warmup>:<measure>" (or just "<measure>", warm-up
@@ -68,10 +69,11 @@ class Simulator {
   /// `trace_insts_hint` is the expected per-thread instruction demand of
   /// the coming run (trace_window_insts of its RunLength). When it is
   /// nonzero and SMT_TRACE_CACHE is on, the per-thread streams replay
-  /// shared MaterializedTrace buffers from TraceCache::shared() instead of
-  /// regenerating; 0 (direct construction, demand unknown) keeps the
-  /// on-demand generating path. Either way the instruction sequences — and
-  /// therefore all results — are bit-identical.
+  /// shared MaterializedTrace buffers from TraceCache::shared() (see
+  /// acquire_run_traces) instead of generating privately; 0 (direct
+  /// construction, demand unknown) keeps the on-demand generating path.
+  /// Either way the instruction sequences — and therefore all results —
+  /// are bit-identical.
   Simulator(const MachineConfig& machine, const WorkloadSpec& workload,
             PolicyKind policy, const PolicyParams& params = {},
             std::uint64_t seed = 1, std::uint64_t trace_insts_hint = 0);
@@ -119,10 +121,18 @@ class Simulator {
 /// Upper bound on one thread's instruction demand for a run of `len`:
 /// both windows plus in-flight slack (a thread can commit nearly every
 /// instruction of a run when its co-runners stall). Sizes MaterializedTrace
-/// buffers so warm-cache replays stay inside them.
+/// capacities so shared replays stay inside them; a trace only generates
+/// as far as its readers get.
 [[nodiscard]] std::uint64_t trace_window_insts(const RunLength& len);
 
-/// Convenience: build + run in one call (warm-cache aware: the trace
+/// The shared traces, one per context, that a Simulator of `workload`
+/// under run seed `seed` built with trace_insts_hint = `insts` replays:
+/// TraceCache::shared()'s live trace per key, or a new one of capacity
+/// `insts`. Holding the result keeps those traces live for later runs.
+[[nodiscard]] std::vector<std::shared_ptr<MaterializedTrace>> acquire_run_traces(
+    const WorkloadSpec& workload, std::uint64_t seed, std::uint64_t insts);
+
+/// Convenience: build + run in one call (shares live traces: the trace
 /// demand hint is derived from `len`).
 [[nodiscard]] SimResult run_simulation(const MachineConfig& machine,
                                        const WorkloadSpec& workload, PolicyKind policy,

@@ -1,7 +1,7 @@
 // Lightweight phase tracing in Chrome trace-event format.
 //
-// The engine and the tools record coarse spans — "materialize" (building
-// a trace-cache entry), "simulate" (one run), "serialize" (writing a
+// The engine and the tools record coarse spans — "materialize" (generating
+// one chunk of a shared trace), "simulate" (one run), "serialize" (writing a
 // snapshot), "merge", "dispatch" — into a process-global in-memory
 // tracer; flush() writes a {"traceEvents":[...]} JSON file that loads
 // directly in Perfetto / chrome://tracing. Timestamps are microseconds of

@@ -6,8 +6,8 @@
 // seq >= window_base() must always return the identical instruction. Two
 // implementations exist: TraceStream generates on demand (the seed
 // behavior), ReplayStream serves a MaterializedTrace buffer shared across
-// runs (the warm trace cache). The core cannot tell them apart — that
-// indistinguishability is the bitwise-identity contract of the cache.
+// runs (shared traces). The core cannot tell them apart — that
+// indistinguishability is the bitwise-identity contract of sharing.
 #pragma once
 
 #include <cstddef>

@@ -1,150 +1,120 @@
 #include "trace/trace_cache.hpp"
 
+#include <algorithm>
+#include <memory>
+#include <type_traits>
+
 #include "common/env.hpp"
 #include "telemetry/phase_trace.hpp"
 
 namespace dwarn {
 
+// Slots past the published prefix are never constructed, and no slot is
+// ever destroyed: the buffer is raw storage for trivially copied entries.
+static_assert(std::is_trivially_copyable_v<TraceInst>);
+static_assert(std::is_trivially_destructible_v<TraceInst>);
+
 MaterializedTrace::MaterializedTrace(const BenchmarkProfile& prof, ThreadId tid,
-                                     std::uint64_t seed, std::uint64_t num_insts)
-    : key_{prof.id, tid, seed}, tail_(prof, tid, seed) {
-  // Generate through the tail stream itself, retiring as we copy, so the
-  // generator's window stays one instruction deep and, at the end, tail_
-  // *is* the state right past the buffer.
-  buf_.reserve(static_cast<std::size_t>(num_insts));
-  for (InstSeq i = 0; i < num_insts; ++i) {
-    buf_.push_back(tail_.at(i));
-    tail_.retire_below(i + 1);
-  }
+                                     std::uint64_t seed, std::uint64_t capacity,
+                                     std::shared_ptr<std::atomic<std::uint64_t>> materialized)
+    : capacity_(capacity),
+      // Allocation alone reserves address space; pages are first touched
+      // when a chunk is generated into them.
+      buf_(std::allocator<TraceInst>{}.allocate(static_cast<std::size_t>(capacity))),
+      materialized_(std::move(materialized)),
+      tail_(prof, tid, seed) {
+  DWARN_CHECK(capacity_ >= 1);
 }
 
-MaterializedTrace::MaterializedTrace(const MaterializedTrace& base,
-                                     std::uint64_t num_insts)
-    : key_(base.key_), tail_(base.tail_), buf_(base.buf_) {
-  DWARN_CHECK(num_insts >= buf_.size());
-  buf_.reserve(static_cast<std::size_t>(num_insts));
-  for (InstSeq i = buf_.size(); i < num_insts; ++i) {
-    buf_.push_back(tail_.at(i));
-    tail_.retire_below(i + 1);
+MaterializedTrace::~MaterializedTrace() {
+  std::allocator<TraceInst>{}.deallocate(buf_, static_cast<std::size_t>(capacity_));
+}
+
+std::uint64_t MaterializedTrace::publish_through(InstSeq seq) {
+  const std::uint64_t want = std::min<std::uint64_t>(seq + 1, capacity_);
+  std::uint64_t have = published();
+  if (have >= want) return have;
+  std::lock_guard lk(mu_);
+  // Re-read under the lock: another reader may have extended meanwhile.
+  have = published_.load(std::memory_order_relaxed);
+  while (have < want) {
+    const std::uint64_t end = std::min(have + kChunkInsts, capacity_);
+    telem::PhaseSpan span("materialize", "{\"bench\":\"" + std::string(tail_.profile().name) +
+                                             "\",\"insts\":" + std::to_string(end) + "}");
+    // Generate through the tail stream itself, retiring as we copy, so
+    // its window stays one instruction deep and, after the loop, tail_
+    // *is* the generator state right past the published prefix.
+    for (InstSeq i = have; i < end; ++i) {
+      std::construct_at(buf_ + i, tail_.at(i));
+      tail_.retire_below(i + 1);
+    }
+    if (materialized_) materialized_->fetch_add(end - have, std::memory_order_relaxed);
+    published_.store(end, std::memory_order_release);
+    have = end;
   }
+  return have;
+}
+
+TraceStream MaterializedTrace::continuation() {
+  publish_through(capacity_ - 1);
+  std::lock_guard lk(mu_);
+  return tail_;
 }
 
 std::size_t MaterializedTrace::bytes() const {
   // The generator tail (layout, address streams, small deques) is a few
-  // hundred bytes; a fixed overhead keeps many tiny buffers from
+  // hundred bytes; a fixed overhead keeps many tiny traces from
   // accounting as free.
   constexpr std::size_t kEntryOverhead = 4096;
-  return buf_.capacity() * sizeof(TraceInst) + kEntryOverhead;
+  return static_cast<std::size_t>(published()) * sizeof(TraceInst) + kEntryOverhead;
 }
 
-std::shared_ptr<const MaterializedTrace> TraceCache::acquire(const BenchmarkProfile& prof,
-                                                             ThreadId tid,
-                                                             std::uint64_t seed,
-                                                             std::uint64_t min_insts) {
+std::shared_ptr<MaterializedTrace> TraceCache::acquire(const BenchmarkProfile& prof,
+                                                       ThreadId tid, std::uint64_t seed,
+                                                       std::uint64_t min_insts) {
   if (min_insts == 0) min_insts = 1;
   const TraceKey key{prof.id, tid, seed};
-
-  std::unique_lock lk(mu_);
-  std::shared_ptr<const MaterializedTrace> grow_base;
-  for (;;) {
-    const auto it = slots_.find(key);
-    if (it == slots_.end()) break;  // miss: this caller builds
-    if (it->second.building) {
-      // Another caller is materializing this key; wait for its publish
-      // rather than duplicating the generation work.
-      cv_.wait(lk);
-      continue;
+  std::lock_guard lk(mu_);
+  if (const auto it = live_.find(key); it != live_.end()) {
+    if (auto trace = it->second.lock(); trace && trace->capacity() >= min_insts) {
+      ++hits_;
+      return trace;
     }
-    if (it->second.trace->size() >= min_insts) {
-      ++stats_.hits;
-      touch_locked(key);
-      return it->second.trace;
-    }
-    // Cached buffer is too short for this run: extend it from its
-    // retained tail state (O(delta) generation). Holders of the old
-    // buffer keep it alive through their shared_ptr.
-    grow_base = std::move(it->second.trace);
-    bytes_ -= grow_base->bytes();
-    lru_.remove(key);
-    break;
   }
-
-  slots_[key].building = true;
-  ++(grow_base ? stats_.grows : stats_.misses);
-  lk.unlock();
-
-  std::shared_ptr<const MaterializedTrace> built;
-  try {
-    telem::PhaseSpan span("materialize",
-                          "{\"bench\":\"" + std::string(prof.name) +
-                              "\",\"insts\":" + std::to_string(min_insts) + "}");
-    built = grow_base
-                ? std::make_shared<const MaterializedTrace>(*grow_base, min_insts)
-                : std::make_shared<const MaterializedTrace>(prof, tid, seed, min_insts);
-  } catch (...) {
-    lk.lock();
-    slots_.erase(key);
-    cv_.notify_all();
-    throw;
-  }
-
-  lk.lock();
-  Slot& slot = slots_[key];
-  slot.trace = built;
-  slot.building = false;
-  bytes_ += built->bytes();
-  lru_.push_front(key);
-  evict_over_budget_locked(key);
-  cv_.notify_all();
-  return built;
-}
-
-void TraceCache::touch_locked(const TraceKey& key) {
-  lru_.remove(key);
-  lru_.push_front(key);
-}
-
-void TraceCache::evict_over_budget_locked(const TraceKey& keep) {
-  while (bytes_ > budget_bytes_ && !lru_.empty()) {
-    const TraceKey victim = lru_.back();
-    if (victim == keep) break;  // freshly touched; nothing older remains
-    lru_.pop_back();
-    const auto it = slots_.find(victim);
-    DWARN_CHECK(it != slots_.end() && it->second.trace != nullptr);
-    bytes_ -= it->second.trace->bytes();
-    slots_.erase(it);
-    ++stats_.evictions;
-  }
+  // A new trace generates nothing yet, so building it under the lock is
+  // cheap, and it makes concurrent acquires of one key share it.
+  ++misses_;
+  std::erase_if(live_, [](const auto& kv) { return kv.second.expired(); });
+  auto trace = std::make_shared<MaterializedTrace>(prof, tid, seed, min_insts, materialized_);
+  live_[key] = trace;
+  return trace;
 }
 
 TraceCacheStats TraceCache::stats() const {
   std::lock_guard lk(mu_);
-  TraceCacheStats s = stats_;
-  s.entries = lru_.size();
-  s.bytes = bytes_;
-  s.budget_bytes = budget_bytes_;
+  TraceCacheStats s;
+  s.hits = hits_;
+  s.misses = misses_;
+  s.materialized_insts = materialized_->load(std::memory_order_relaxed);
+  for (const auto& [key, weak] : live_) {
+    if (const auto trace = weak.lock()) {
+      ++s.entries;
+      s.bytes += trace->bytes();
+    }
+  }
   return s;
 }
 
 void TraceCache::clear() {
   std::lock_guard lk(mu_);
-  // In-flight builders republish into the emptied map when they finish.
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    it = it->second.building ? std::next(it) : slots_.erase(it);
-  }
-  lru_.clear();
-  bytes_ = 0;
-  stats_ = TraceCacheStats{};
-}
-
-void TraceCache::set_budget_bytes(std::size_t bytes) {
-  std::lock_guard lk(mu_);
-  budget_bytes_ = bytes;
-  if (!lru_.empty()) evict_over_budget_locked(lru_.front());
+  live_.clear();
+  hits_ = 0;
+  misses_ = 0;
+  materialized_ = std::make_shared<std::atomic<std::uint64_t>>(0);
 }
 
 TraceCache& TraceCache::shared() {
-  static TraceCache cache(trace_cache_budget_bytes());
+  static TraceCache cache;
   return cache;
 }
 
@@ -152,26 +122,16 @@ bool trace_cache_enabled() {
   return env_u64("SMT_TRACE_CACHE", 0, 1).value_or(1) == 1;
 }
 
-std::size_t trace_cache_budget_bytes() {
-  // Up to 1 TiB: far past any real budget, but no risk of shift overflow.
-  const std::uint64_t mb = env_u64("SMT_TRACE_CACHE_MB", 1, 1ull << 20).value_or(256);
-  return static_cast<std::size_t>(mb << 20);
-}
-
-std::string trace_cache_mode_string() {
-  if (!trace_cache_enabled()) return "off";
-  return "on (budget " + std::to_string(trace_cache_budget_bytes() >> 20) + " MiB)";
-}
+std::string trace_cache_mode_string() { return trace_cache_enabled() ? "on" : "off"; }
 
 std::map<std::string, std::string> trace_cache_meta(const TraceCacheStats& s) {
   return {
       {"trace_cache.hits", std::to_string(s.hits)},
       {"trace_cache.misses", std::to_string(s.misses)},
-      {"trace_cache.grows", std::to_string(s.grows)},
       {"trace_cache.evictions", std::to_string(s.evictions)},
       {"trace_cache.entries", std::to_string(s.entries)},
       {"trace_cache.bytes", std::to_string(s.bytes)},
-      {"trace_cache.budget_bytes", std::to_string(s.budget_bytes)},
+      {"trace_cache.materialized_insts", std::to_string(s.materialized_insts)},
   };
 }
 

@@ -107,24 +107,19 @@ TEST(DispatchPlan, UnitsCoverTheGridAndCarryWorkerEnv) {
     EXPECT_EQ(u.fragment_path(), "out/" + shard_fragment_filename("fixture", k, 3));
     EXPECT_EQ(u.env.at("SMT_BENCH_ZERO_WALL"), "1");
     EXPECT_TRUE(u.env.contains("SMT_SIM_WORKERS"));
-    EXPECT_TRUE(u.env.contains("SMT_TRACE_CACHE_MB"));
     covered += u.indices.size();
   }
   EXPECT_EQ(covered, plan.grid_size);
 }
 
-TEST(DispatchPlan, WorkerEnvSplitsThreadsAndCacheBudgetAcrossJobs) {
+TEST(DispatchPlan, WorkerEnvSplitsThreadsAcrossJobs) {
   ASSERT_EQ(setenv("SMT_SIM_WORKERS", "8", 1), 0);
-  ASSERT_EQ(setenv("SMT_TRACE_CACHE_MB", "64", 1), 0);
   const auto env = orch::worker_env(4);
   EXPECT_EQ(env.at("SMT_SIM_WORKERS"), "2");
-  EXPECT_EQ(env.at("SMT_TRACE_CACHE_MB"), "16");
-  // More jobs than threads/budget: floors at 1, never 0.
+  // More jobs than threads: floors at 1, never 0.
   const auto narrow = orch::worker_env(16);
   EXPECT_EQ(narrow.at("SMT_SIM_WORKERS"), "1");
-  EXPECT_EQ(narrow.at("SMT_TRACE_CACHE_MB"), "4");
   ASSERT_EQ(unsetenv("SMT_SIM_WORKERS"), 0);
-  ASSERT_EQ(unsetenv("SMT_TRACE_CACHE_MB"), 0);
 }
 
 TEST(DispatchPlan, DryRunJsonIsParseableAndComplete) {

@@ -409,10 +409,13 @@ TEST_F(ShardMergeTest, MergeSumsPerWorkerTraceCacheMetaAndKeepsSharedMetaStrict)
   fragments[0].meta["trace_cache.hits"] = "10";
   fragments[0].meta["trace_cache.misses"] = "4";
   fragments[1].meta["trace_cache.hits"] = "7";
+  fragments[0].meta["trace_cache.materialized_insts"] = "8192";
+  fragments[1].meta["trace_cache.materialized_insts"] = "4096";
 
   const analysis::Snapshot merged = analysis::merge_shards(fragments);
   EXPECT_EQ(merged.meta.at("trace_cache.hits"), "17");
   EXPECT_EQ(merged.meta.at("trace_cache.misses"), "4");  // absent counts as 0
+  EXPECT_EQ(merged.meta.at("trace_cache.materialized_insts"), "12288");
   EXPECT_EQ(merged.meta.at("bench"), "fixture");
 
   // Still strict about genuinely shared meta...

@@ -1,9 +1,11 @@
-// Warm trace cache tests: materialization fidelity, replay rewind/overflow
-// semantics, LRU eviction + stats, concurrent single-build, and the
-// engine-level byte-identity contract between SMT_TRACE_CACHE=1 and =0
-// (workers {1,4}, sharded and unsharded).
+// Shared trace tests: materialization fidelity, growth on demand, replay
+// rewind/overflow semantics, concurrent readers, liveness + stats, the
+// engine's group pins, and the engine-level byte-identity contract between
+// SMT_TRACE_CACHE=1 and =0 (workers {1,4}, sharded and unsharded).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <optional>
@@ -18,6 +20,7 @@
 #include "engine/grid_registry.hpp"
 #include "engine/result_store.hpp"
 #include "engine/shard.hpp"
+#include "sim/simulator.hpp"
 #include "trace/trace_cache.hpp"
 #include "trace/trace_stream.hpp"
 
@@ -67,7 +70,8 @@ TEST(MaterializedTrace, RecordsTheGeneratedSequenceVerbatim) {
   const auto& prof = profile_of(Benchmark::twolf);
   constexpr std::uint64_t kN = 4000;
   MaterializedTrace mt(prof, /*tid=*/1, /*seed=*/7, kN);
-  ASSERT_EQ(mt.size(), kN);
+  EXPECT_EQ(mt.published(), 0u);  // reserved, not generated
+  ASSERT_EQ(mt.publish_through(kN - 1), kN);
 
   TraceStream ref(prof, 1, 7);
   for (InstSeq i = 0; i < kN; ++i) {
@@ -78,16 +82,39 @@ TEST(MaterializedTrace, RecordsTheGeneratedSequenceVerbatim) {
   EXPECT_GT(mt.bytes(), kN * sizeof(TraceInst));
 }
 
+TEST(MaterializedTrace, GrowsOnDemandOneChunkAtATime) {
+  const auto& prof = profile_of(Benchmark::bzip2);
+  constexpr std::uint64_t kChunk = MaterializedTrace::kChunkInsts;
+  constexpr std::uint64_t kCapacity = 5 * kChunk + 123;
+  auto materialized = std::make_shared<std::atomic<std::uint64_t>>(0);
+  auto trace = std::make_shared<MaterializedTrace>(prof, 0, 9, kCapacity, materialized);
+  ReplayStream rep(trace);
+  EXPECT_EQ(trace->published(), 0u);
+
+  const auto round_up = [&](std::uint64_t n) {
+    return std::min(kCapacity, (n + kChunk - 1) / kChunk * kChunk);
+  };
+  for (const InstSeq s : {InstSeq{0}, InstSeq{1}, kChunk - 1, kChunk, 3 * kChunk + 7,
+                          3 * kChunk + 8, kCapacity - 1}) {
+    (void)rep.at(s);
+    EXPECT_GT(trace->published(), s) << "seq " << s;
+    EXPECT_LE(trace->published(), round_up(s + 1)) << "seq " << s;
+    EXPECT_EQ(materialized->load(), trace->published());
+  }
+  EXPECT_EQ(trace->published(), kCapacity);
+  EXPECT_FALSE(rep.overflowed());
+}
+
 TEST(ReplayStream, MatchesGenerationAcrossRewindRetireAndOverflow) {
-  // Drive a generating stream and a replayer (buffer deliberately shorter
-  // than the walk) through the access pattern a core produces: advance,
-  // squash back, re-read, retire — then run past the buffer so the
-  // continuation generator takes over mid-walk.
+  // Drive a generating stream and a replayer (capacity deliberately
+  // shorter than the walk) through the access pattern a core produces:
+  // advance, squash back, re-read, retire — then run past the capacity so
+  // the continuation generator takes over mid-walk.
   const auto& prof = profile_of(Benchmark::mcf);
   constexpr std::uint64_t kMaterialized = 1500;
   constexpr std::uint64_t kWalk = 3000;
   TraceStream ref(prof, 0, 3);
-  ReplayStream rep(std::make_shared<const MaterializedTrace>(prof, 0, 3, kMaterialized));
+  ReplayStream rep(std::make_shared<MaterializedTrace>(prof, 0, 3, kMaterialized));
 
   InstSeq retired = 0;
   for (InstSeq i = 0; i < kWalk; ++i) {
@@ -104,12 +131,13 @@ TEST(ReplayStream, MatchesGenerationAcrossRewindRetireAndOverflow) {
     }
   }
   EXPECT_TRUE(rep.overflowed());
+  EXPECT_EQ(rep.trace().published(), kMaterialized);
 }
 
 TEST(ReplayStream, ExactBufferWalkNeverOverflows) {
   const auto& prof = profile_of(Benchmark::gzip);
   constexpr std::uint64_t kN = 2000;
-  ReplayStream rep(std::make_shared<const MaterializedTrace>(prof, 2, 11, kN));
+  ReplayStream rep(std::make_shared<MaterializedTrace>(prof, 2, 11, kN));
   for (InstSeq i = 0; i < kN; ++i) {
     (void)rep.at(i);
     rep.retire_below(i + 1);
@@ -118,82 +146,40 @@ TEST(ReplayStream, ExactBufferWalkNeverOverflows) {
   EXPECT_EQ(rep.window_base(), kN);
 }
 
-// ---- cache behavior ---------------------------------------------------------
-
-TEST(TraceCache, HitsMissesAndGrows) {
-  TraceCache cache(/*budget_bytes=*/64u << 20);
-  const auto& prof = profile_of(Benchmark::vpr);
-
-  const auto a = cache.acquire(prof, 0, 1, 500);
-  EXPECT_EQ(a->size(), 500u);
-  const auto b = cache.acquire(prof, 0, 1, 400);  // shorter demand: same buffer
-  EXPECT_EQ(a.get(), b.get());
-  const auto c = cache.acquire(prof, 0, 1, 900);  // longer demand: extended
-  EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(c->size(), 900u);
-  // The old buffer stays valid for holders, and the extension (which
-  // continues from the retained tail state rather than regenerating) is
-  // bit-identical to a from-scratch materialization of the same length.
-  for (InstSeq i = 0; i < a->size(); i += 37) expect_inst_eq((*a)[i], (*c)[i], i);
-  const MaterializedTrace scratch(prof, 0, 1, 900);
-  for (InstSeq i = 0; i < scratch.size(); ++i) expect_inst_eq(scratch[i], (*c)[i], i);
-
-  const TraceCacheStats s = cache.stats();
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.grows, 1u);
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.bytes, c->bytes());
-}
-
-TEST(TraceCache, LruEvictionRespectsBudgetAndRecency) {
-  const auto& prof = profile_of(Benchmark::parser);
-  // Learn the per-entry footprint, then budget for exactly two entries.
-  const std::size_t entry_bytes = MaterializedTrace(prof, 0, 1, 1000).bytes();
-  TraceCache cache(2 * entry_bytes + entry_bytes / 2);
-
-  (void)cache.acquire(prof, 0, 1, 1000);  // A
-  (void)cache.acquire(prof, 0, 2, 1000);  // B
-  EXPECT_EQ(cache.stats().entries, 2u);
-  (void)cache.acquire(prof, 0, 1, 1000);  // touch A -> B is now LRU
-  (void)cache.acquire(prof, 0, 3, 1000);  // C evicts B
-
-  TraceCacheStats s = cache.stats();
-  EXPECT_EQ(s.entries, 2u);
-  EXPECT_EQ(s.evictions, 1u);
-  EXPECT_LE(s.bytes, s.budget_bytes);
-
-  (void)cache.acquire(prof, 0, 1, 1000);  // A survived the eviction
-  EXPECT_EQ(cache.stats().hits, 2u);
-  (void)cache.acquire(prof, 0, 2, 1000);  // B was evicted: a fresh miss
-  EXPECT_EQ(cache.stats().misses, 4u);
-}
-
-TEST(TraceCache, OversizedEntrySurvivesAloneAndShrinkingBudgetEvicts) {
-  const auto& prof = profile_of(Benchmark::eon);
-  TraceCache cache(/*budget_bytes=*/1);  // below any entry size
-  const auto a = cache.acquire(prof, 0, 1, 2000);
-  EXPECT_EQ(cache.stats().entries, 1u);  // in active use: kept despite budget
-
-  cache.set_budget_bytes(64u << 20);
-  (void)cache.acquire(prof, 0, 2, 2000);
-  EXPECT_EQ(cache.stats().entries, 2u);
-  cache.set_budget_bytes(1);  // shrink: everything but the MRU goes
-  EXPECT_EQ(cache.stats().entries, 1u);
-  // The evicted buffer is still usable through the held shared_ptr.
-  EXPECT_EQ(a->size(), 2000u);
-}
-
-TEST(TraceCache, ConcurrentAcquiresBuildOnce) {
-  TraceCache cache(/*budget_bytes=*/64u << 20);
+TEST(ReplayStream, ConcurrentReadersOfOneTraceMatchGeneration) {
+  // Readers at different speeds and squash patterns share one trace
+  // acquired concurrently: whoever is ahead extends it, the rest read the
+  // published prefix, and all of them run past the capacity.
+  TraceCache cache;
   const auto& prof = profile_of(Benchmark::gcc);
-  constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const MaterializedTrace>> got(kThreads);
+  constexpr int kThreads = 6;
+  constexpr std::uint64_t kCapacity = 3 * MaterializedTrace::kChunkInsts + 500;
+  constexpr std::uint64_t kWalk = kCapacity + 2000;
+  std::vector<std::shared_ptr<MaterializedTrace>> got(kThreads);
   {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] { got[t] = cache.acquire(prof, 1, 5, 3000); });
+      threads.emplace_back([&, t] {
+        got[t] = cache.acquire(prof, 1, 5, kCapacity);
+        ReplayStream rep(got[t]);
+        TraceStream ref(prof, 1, 5);
+        const InstSeq squash_every = 31 + 17 * static_cast<InstSeq>(t);
+        const InstSeq retire_every = 50 + 13 * static_cast<InstSeq>(t);
+        InstSeq retired = 0;
+        for (InstSeq i = 0; i < kWalk; ++i) {
+          expect_inst_eq(rep.at(i), ref.at(i), i);
+          if (i % squash_every == 0 && i > retired + 8) {
+            for (InstSeq j = i - 8; j <= i; ++j) expect_inst_eq(rep.at(j), ref.at(j), j);
+          }
+          if (i % retire_every == 0 && i > 16) {
+            retired = i - 16;
+            ref.retire_below(retired);
+            rep.retire_below(retired);
+          }
+        }
+        EXPECT_TRUE(rep.overflowed());
+      });
     }
     for (auto& th : threads) th.join();
   }
@@ -201,18 +187,66 @@ TEST(TraceCache, ConcurrentAcquiresBuildOnce) {
   const TraceCacheStats s = cache.stats();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(s.materialized_insts, kCapacity);  // generated once, shared
 }
 
-TEST(TraceCache, ClearResetsEntriesAndCounters) {
-  TraceCache cache(/*budget_bytes=*/64u << 20);
+// ---- cache behavior ---------------------------------------------------------
+
+TEST(TraceCache, LiveTraceIsSharedAndReleasedTraceIsForgotten) {
+  TraceCache cache;
+  const auto& prof = profile_of(Benchmark::vpr);
+  auto a = cache.acquire(prof, 0, 1, 500);
+  EXPECT_EQ(a->capacity(), 500u);
+  EXPECT_EQ(a->published(), 0u);
+  auto b = cache.acquire(prof, 0, 1, 400);  // shorter demand: same trace
+  EXPECT_EQ(a.get(), b.get());
+  a.reset();
+  EXPECT_EQ(cache.stats().entries, 1u);  // still held through b
+  b.reset();
+  EXPECT_EQ(cache.stats().entries, 0u);
+
+  const auto c = cache.acquire(prof, 0, 1, 500);  // released: a fresh miss
+  EXPECT_EQ(c->published(), 0u);
+  const TraceCacheStats s = cache.stats();
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.evictions, 0u);
+}
+
+TEST(TraceCache, ShortLiveTraceIsReplacedAndOldHoldersKeepTheirs) {
+  TraceCache cache;
+  const auto& prof = profile_of(Benchmark::parser);
+  const auto a = cache.acquire(prof, 0, 1, 500);
+  (void)a->publish_through(499);
+  const auto c = cache.acquire(prof, 0, 1, 900);  // longer demand: a new trace
+  EXPECT_NE(a.get(), c.get());
+  EXPECT_GE(c->capacity(), 900u);
+  EXPECT_EQ(a->published(), 500u);  // the old holder's trace is untouched
+
+  // Later acquires get the replacement, and both traces hold one sequence.
+  EXPECT_EQ(cache.acquire(prof, 0, 1, 400).get(), c.get());
+  (void)c->publish_through(899);
+  for (InstSeq i = 0; i < 500; ++i) expect_inst_eq((*a)[i], (*c)[i], i);
+  const TraceCacheStats s = cache.stats();
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.entries, 1u);  // only the replacement is indexed
+  EXPECT_EQ(s.bytes, c->bytes());
+  EXPECT_EQ(s.materialized_insts, 500u + 900u);
+}
+
+TEST(TraceCache, ClearForgetsTracesAndResetsCounters) {
+  TraceCache cache;
   const auto& prof = profile_of(Benchmark::gap);
-  (void)cache.acquire(prof, 0, 1, 100);
+  const auto held = cache.acquire(prof, 0, 1, 100);
+  (void)held->publish_through(99);
   cache.clear();
   const TraceCacheStats s = cache.stats();
   EXPECT_EQ(s.entries, 0u);
   EXPECT_EQ(s.bytes, 0u);
   EXPECT_EQ(s.misses, 0u);
-  (void)cache.acquire(prof, 0, 1, 100);
+  EXPECT_EQ(s.materialized_insts, 0u);
+  EXPECT_NE(cache.acquire(prof, 0, 1, 100).get(), held.get());
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
@@ -220,10 +254,12 @@ TEST(TraceCacheMeta, RendersEveryCounter) {
   TraceCacheStats s;
   s.hits = 3;
   s.bytes = 123;
+  s.materialized_insts = 4567;
   const auto meta = trace_cache_meta(s);
   EXPECT_EQ(meta.at("trace_cache.hits"), "3");
   EXPECT_EQ(meta.at("trace_cache.bytes"), "123");
-  EXPECT_EQ(meta.size(), 7u);
+  EXPECT_EQ(meta.at("trace_cache.materialized_insts"), "4567");
+  EXPECT_EQ(meta.size(), 6u);
 }
 
 // ---- engine-level byte identity --------------------------------------------
@@ -291,6 +327,32 @@ TEST(TraceCacheIdentity, ShardFragmentsAreByteIdenticalWithAndWithoutCache) {
     }
     EXPECT_EQ(uncached, cached) << "shard " << k << "/2";
   }
+}
+
+TEST(GroupPins, OneWorkerEngineGeneratesEachKeyOfAGroupOnce) {
+  // With one worker no two runs overlap, so only the engine's group pins
+  // keep a group's traces live from one of its runs to the next.
+  ScopedEnv on("SMT_TRACE_CACHE", "1");
+  const std::vector<RunSpec> specs = identity_grid().expand();
+  std::set<std::pair<std::string, std::uint64_t>> groups;
+  std::uint64_t keys = 0;
+  std::uint64_t thread_runs = 0;
+  for (const RunSpec& s : specs) {
+    if (groups.emplace(s.workload.name, s.seed).second) keys += s.workload.num_threads();
+    thread_runs += s.workload.num_threads();
+  }
+  ASSERT_LT(keys, thread_runs);  // groups of several runs
+
+  TraceCache::shared().clear();
+  ThreadPool one(1);
+  (void)ExperimentEngine(one).run(specs);
+  const TraceCacheStats st = TraceCache::shared().stats();
+  EXPECT_EQ(st.misses, keys);         // one pin per key of each group
+  EXPECT_EQ(st.hits, thread_runs);    // every run replays a pinned trace
+  EXPECT_EQ(st.entries, 0u);          // nothing outlives the engine run
+  EXPECT_GT(st.materialized_insts, 0u);
+  // Growth on demand: runs read well short of their whole window.
+  EXPECT_LT(st.materialized_insts, keys * trace_window_insts(specs.front().len));
 }
 
 TEST(BatchOrder, GroupsByWorkloadAndSeedWithoutTouchingIndices) {

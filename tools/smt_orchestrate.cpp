@@ -721,7 +721,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     // More job slots than shards would only shrink each worker's thread
-    // and cache-budget split for slots that can never fill.
+    // split for slots that can never fill.
     if (opt.plan.shards < opt.plan.jobs) {
       opt.plan.jobs = opt.plan.shards;
       opt.sched.jobs = opt.plan.shards;

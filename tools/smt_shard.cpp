@@ -135,7 +135,7 @@ int run_run(const Options& opt) {
   const auto meta = bench_meta(opt.bench, specs.empty() ? RunLength{} : specs.front().len);
 
   // Announce the plan before executing: which part of the grid runs here,
-  // and whether its trace streams come from the warm cache (replay mode
+  // and whether its trace streams are shared across runs (replay mode
   // never changes result bytes, only wall clock, but an operator staring
   // at a slow shard wants to know which mode they are in).
   std::cout << "grid " << opt.bench << ": " << specs.size() << " runs, trace cache "
