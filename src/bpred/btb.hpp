@@ -54,10 +54,6 @@ class Btb {
     *victim = Entry{pc, target, clock_, true};
   }
 
-  void clear() {
-    for (auto& e : lines_) e.valid = false;
-  }
-
  private:
   struct Entry {
     Addr pc = 0;

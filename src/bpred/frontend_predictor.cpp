@@ -78,10 +78,4 @@ void FrontEndPredictor::note_resolved(bool mispredicted) {
   if (mispredicted) mispredicts_.add();
 }
 
-void FrontEndPredictor::clear() {
-  gshare_.clear();
-  btb_.clear();
-  for (auto& r : ras_) r.clear();
-}
-
 }  // namespace dwarn

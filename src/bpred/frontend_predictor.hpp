@@ -58,8 +58,6 @@ class FrontEndPredictor {
 
   [[nodiscard]] const Gshare& gshare() const { return gshare_; }
 
-  void clear();
-
  private:
   Gshare gshare_;
   Btb btb_;

@@ -44,11 +44,6 @@ class Gshare {
   /// Current global-history register of a thread (test hook).
   [[nodiscard]] std::uint64_t history(ThreadId tid) const { return history_[tid]; }
 
-  void clear() {
-    for (auto& c : table_) c = kWeaklyTaken;
-    history_.fill(0);
-  }
-
  private:
   static constexpr std::uint8_t kWeaklyTaken = 2;
   static constexpr std::uint8_t kStronglyTaken = 3;

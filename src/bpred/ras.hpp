@@ -50,11 +50,6 @@ class Ras {
   /// Peek without popping (test hook).
   [[nodiscard]] Addr top() const { return stack_[tos_]; }
 
-  void clear() {
-    tos_ = 0;
-    for (auto& v : stack_) v = 0;
-  }
-
  private:
   std::vector<Addr> stack_;
   std::uint32_t tos_ = 0;

@@ -22,12 +22,10 @@
 // exactly like real ones.
 //
 // Hot-path layout (docs/core_perf.md): the event calendar is a flat
-// bucket-ring EventWheel, the instruction windows and the shared front-end
-// queue are flat Rings with stable positions (O(1) instruction lookup from
-// queue/event entries), and the per-cycle FetchPolicy calls are
-// devirtualized by instantiating the tick loop per concrete policy type
-// (set_policy_typed; the virtual path stays as fallback and differential
-// reference).
+// bucket-ring EventWheel, and the instruction windows and the shared
+// front-end queue are flat Rings with stable positions (O(1) instruction
+// lookup from queue/event entries). There is one tick loop; it calls the
+// fetch policy through its FetchPolicy interface.
 #pragma once
 
 #include <cstdint>
@@ -68,25 +66,12 @@ class SmtCore final : public PolicyHost {
   SmtCore(const CoreConfig& cfg, MemoryHierarchy& mem, FrontEndPredictor& bpred,
           std::vector<ThreadProgram> programs, StatSet& stats);
 
-  /// Install the fetch policy behind virtual dispatch (must be set before
-  /// the first tick()). This is the fallback path for custom policies and
-  /// the differential-testing reference; production setup goes through
-  /// bind_policy_devirtualized (core/policy_dispatch.hpp).
+  /// Install the fetch policy (must be set before the first tick()).
   void set_policy(FetchPolicy* policy);
 
-  /// Install `policy` and select the tick loop instantiated for its
-  /// concrete type: every per-cycle policy call inside the loop is a
-  /// direct (inlinable) call. Defined in smt_core_tick.ipp; instantiated
-  /// in smt_core.cpp (FetchPolicy) and policy_dispatch.cpp (one per
-  /// concrete policy class).
-  template <typename P>
-  void set_policy_typed(P* policy);
-
-  /// Attach an interval CounterSampler (telemetry). Must precede policy
-  /// binding: set_policy_typed selects the tick-loop variant with the
-  /// sampling hook compiled in only when a sampler is present, so the
-  /// telemetry-off hot path contains no sampling code at all.
-  void attach_sampler(telem::CounterSampler* sampler);
+  /// Attach an interval CounterSampler (telemetry); nullptr detaches.
+  /// The tick loop samples only while one is attached.
+  void attach_sampler(telem::CounterSampler* sampler) { sampler_ = sampler; }
   [[nodiscard]] telem::CounterSampler* sampler() const { return sampler_; }
 
   /// Record one interval sample into the attached sampler (out-of-line —
@@ -94,10 +79,7 @@ class SmtCore final : public PolicyHost {
   void telem_sample();
 
   /// Advance the machine one cycle.
-  void tick() {
-    DWARN_CHECK(tick_fn_ != nullptr);
-    (this->*tick_fn_)();
-  }
+  void tick();
 
   // --- PolicyHost ----------------------------------------------------------
   [[nodiscard]] Cycle now() const override { return now_; }
@@ -174,27 +156,19 @@ class SmtCore final : public PolicyHost {
     Addr cur_fetch_line = ~Addr{0};
   };
 
-  using TickFn = void (SmtCore::*)();
-
-  // Stage helpers. The stages that call into the policy are templated on
-  // the concrete policy type (bodies in smt_core_tick.ipp); the rest are
-  // ordinary members shared by every instantiation.
-  template <typename P, bool Telem> void tick_t();
-  template <typename P> void process_events_t(P& pol);
-  template <typename P> void do_rename_t(P& pol);
-  template <typename P> void do_fetch_t(P& pol);
-  template <typename P> void fetch_from_thread_t(P& pol, ThreadId tid, unsigned& budget);
-  template <typename P>
-  std::size_t squash_younger_than_t(P& pol, ThreadId tid, std::uint64_t dyn_id,
-                                    bool flush);
+  // Stage helpers, in tick order.
+  void process_events();
   void do_commit();
   void do_issue();
   void issue_one(DynInst& d);
+  void do_rename();
+  void do_fetch();
+  void fetch_from_thread(ThreadId tid, unsigned& budget);
   void sample_occupancy();
 
-  /// Remove every instruction of `tid` younger than `dyn_id`, virtual-
-  /// dispatch wrapper (used by flush_after, which policies call mid-tick).
-  /// `flush` selects the squash-accounting bucket (FLUSH policy vs branch).
+  /// Remove every instruction of `tid` younger than `dyn_id` (branch
+  /// recovery, and flush_after, which policies call mid-tick). `flush`
+  /// selects the squash-accounting bucket (FLUSH policy vs branch).
   std::size_t squash_younger_than(ThreadId tid, std::uint64_t dyn_id, bool flush);
 
   void remove_from_iq(ThreadId tid, std::uint64_t dyn_id, IssueClass c);
@@ -229,7 +203,6 @@ class SmtCore final : public PolicyHost {
   MemoryHierarchy& mem_;
   FrontEndPredictor& bpred_;
   FetchPolicy* policy_ = nullptr;
-  TickFn tick_fn_ = nullptr;
   telem::CounterSampler* sampler_ = nullptr;
   StatSet& stats_;
 

@@ -4,7 +4,7 @@
 // ThreadPool and collects every run — full counter snapshot included —
 // into a ResultSet whose record order equals the grid's expansion order
 // regardless of worker count. This is the single execution path for all
-// benches, examples and the legacy run_matrix/solo_baselines wrappers.
+// benches, tools, examples and tests that run grids.
 #pragma once
 
 #include <cstdint>

@@ -99,11 +99,6 @@ void Cache::invalidate(Addr addr) {
   }
 }
 
-void Cache::clear() {
-  for (auto& l : lines_) l = Line{};
-  for (auto& b : bank_free_at_) b = 0;
-}
-
 double Cache::occupancy() const {
   std::size_t valid = 0;
   for (const auto& l : lines_) valid += l.valid ? 1 : 0;

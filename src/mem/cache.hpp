@@ -58,9 +58,6 @@ class Cache {
   /// Invalidate a line if present (used by tests and back-invalidation).
   void invalidate(Addr addr);
 
-  /// Remove all lines (e.g. between experiment repetitions).
-  void clear();
-
   /// Fraction of lines currently valid (occupancy diagnostics).
   [[nodiscard]] double occupancy() const;
 

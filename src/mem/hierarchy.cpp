@@ -144,14 +144,4 @@ void MemoryHierarchy::tick(Cycle now) {
   if (imem_) imem_->tick(now);
 }
 
-void MemoryHierarchy::clear_state() {
-  l1i_.clear();
-  l1d_.clear();
-  l2_.clear();
-  for (auto& t : dtlbs_) t.clear();
-  l1d_mshrs_.clear();
-  l1i_mshrs_.clear();
-  if (imem_) imem_->clear_state();
-}
-
 }  // namespace dwarn

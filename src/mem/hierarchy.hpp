@@ -88,9 +88,6 @@ class MemoryHierarchy {
   /// Expire completed MSHR entries; call once per simulated cycle.
   void tick(Cycle now);
 
-  /// Reset all cache/TLB/MSHR state (not statistics).
-  void clear_state();
-
   [[nodiscard]] const MemoryConfig& config() const { return cfg_; }
   [[nodiscard]] const Cache& l1d() const { return l1d_; }
   [[nodiscard]] const Cache& l1i() const { return l1i_; }

@@ -135,11 +135,4 @@ void InstMemory::fetch_ahead(Addr demand_line, Cycle now) {
   }
 }
 
-void InstMemory::clear_state() {
-  tags_.clear();
-  for (auto& t : itlbs_) t.clear();
-  mshrs_.clear();
-  pf_inflight_.clear();
-}
-
 }  // namespace dwarn

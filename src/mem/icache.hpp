@@ -76,9 +76,6 @@ class InstMemory {
   /// Expire completed MSHR entries; called once per simulated cycle.
   void tick(Cycle now) { mshrs_.expire(now); }
 
-  /// Reset tags/TLB/MSHR state (not statistics).
-  void clear_state();
-
   [[nodiscard]] const ICacheConfig& config() const { return cfg_; }
   [[nodiscard]] const Cache& l1i() const { return tags_; }
   [[nodiscard]] const ITlb& itlb(ThreadId tid) const { return itlbs_[tid]; }

@@ -91,10 +91,6 @@ class ITlb {
     return false;
   }
 
-  void clear() {
-    for (auto& e : entries_) e.valid = false;
-  }
-
   [[nodiscard]] const ITlbConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t miss_count() const { return misses_.value(); }
 

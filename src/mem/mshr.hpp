@@ -76,10 +76,6 @@ class MshrFile {
 
   [[nodiscard]] std::size_t capacity() const { return entries_.size(); }
 
-  void clear() {
-    for (auto& e : entries_) e.valid = false;
-  }
-
  private:
   std::vector<MshrEntry> entries_;
 };

@@ -75,10 +75,6 @@ class Tlb {
     return false;
   }
 
-  void clear() {
-    for (auto& e : lines_) e.valid = false;
-  }
-
   [[nodiscard]] const TlbConfig& config() const { return cfg_; }
 
  private:

@@ -47,8 +47,6 @@ class DataGatingPolicy final : public FetchPolicy {
     --outstanding_[tid];
   }
 
-  void reset() override { outstanding_.fill(0); }
-
   [[nodiscard]] unsigned outstanding(ThreadId tid) const { return outstanding_[tid]; }
 
  private:
@@ -92,11 +90,6 @@ class PredictiveDataGatingPolicy final : public FetchPolicy {
 
   void on_inst_squashed(ThreadId tid, std::uint64_t dyn_id, const TraceInst& ti) override {
     if (ti.is_load()) pending_[tid].erase(dyn_id);
-  }
-
-  void reset() override {
-    for (auto& s : pending_) s.clear();
-    predictor_.clear();
   }
 
   [[nodiscard]] std::size_t pending_count(ThreadId tid) const {

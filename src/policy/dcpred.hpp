@@ -52,11 +52,6 @@ class DcPredPolicy final : public FetchPolicy {
     return predicted_[tid].empty() ? std::numeric_limits<unsigned>::max() : limit_;
   }
 
-  void reset() override {
-    for (auto& s : predicted_) s.clear();
-    predictor_.clear();
-  }
-
   [[nodiscard]] std::size_t active_predictions(ThreadId tid) const {
     return predicted_[tid].size();
   }

@@ -88,11 +88,6 @@ class DWarnPolicy final : public FetchPolicy {
     if (until > gate_until_[tid]) gate_until_[tid] = until;
   }
 
-  void reset() override {
-    dmiss_counter_.fill(0);
-    gate_until_.fill(0);
-  }
-
   /// In-flight L1 data-miss counter of a context (test hook).
   [[nodiscard]] unsigned dmiss_counter(ThreadId tid) const { return dmiss_counter_[tid]; }
   [[nodiscard]] DWarnMode mode() const { return mode_; }

@@ -117,9 +117,6 @@ class FetchPolicy {
     return std::numeric_limits<unsigned>::max();
   }
 
-  /// Reset all policy state (between experiment phases).
-  virtual void reset() {}
-
  protected:
   PolicyHost& host_;
 

@@ -40,8 +40,6 @@ class RoundRobinPolicy final : public FetchPolicy {
     std::rotate(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(shift), out.end());
   }
 
-  void reset() override { rotation_ = 0; }
-
  private:
   std::size_t rotation_ = 0;
 };

@@ -36,10 +36,6 @@ class MissPredictor {
     }
   }
 
-  void clear() {
-    for (auto& c : table_) c = 0;
-  }
-
  private:
   [[nodiscard]] std::size_t index(Addr pc) const {
     return static_cast<std::size_t>((pc >> 2) & mask_);

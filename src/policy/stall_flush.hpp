@@ -44,8 +44,6 @@ class GatingPolicyBase : public FetchPolicy {
     }
   }
 
-  void reset() override { gate_until_.fill(0); }
-
   /// Cycle until which `tid` is gated (test hook).
   [[nodiscard]] Cycle gate_until(ThreadId tid) const { return gate_until_[tid]; }
 

@@ -37,14 +37,6 @@ TEST(Gshare, PerThreadHistoryIsIndependent) {
   EXPECT_NE(g.history(0), g.history(1));
 }
 
-TEST(Gshare, ClearResets) {
-  Gshare g(256);
-  for (int i = 0; i < 10; ++i) g.update(0, 0x10, false);
-  g.clear();
-  EXPECT_TRUE(g.predict(0, 0x10));  // weakly-taken initial state
-  EXPECT_EQ(g.history(0), 0u);
-}
-
 TEST(Btb, MissThenHitAfterUpdate) {
   Btb btb(256, 4);
   EXPECT_FALSE(btb.lookup(0x2000).has_value());

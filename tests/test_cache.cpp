@@ -97,15 +97,6 @@ TEST(Cache, InvalidateRemovesLine) {
   EXPECT_FALSE(c.probe(0x2000));
 }
 
-TEST(Cache, ClearEmptiesEverything) {
-  StatSet stats;
-  Cache c(small_cfg(), stats);
-  for (Addr a = 0; a < 4096; a += 64) c.access(a, false, 1);
-  EXPECT_GT(c.occupancy(), 0.9);
-  c.clear();
-  EXPECT_DOUBLE_EQ(c.occupancy(), 0.0);
-}
-
 TEST(Cache, CountersTrackAccessesAndMisses) {
   StatSet stats;
   Cache c(small_cfg(), stats);

@@ -5,11 +5,13 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "engine/experiment_engine.hpp"
+#include "engine/grid_registry.hpp"
 #include "engine/result_store.hpp"
 #include "engine/run_spec.hpp"
-#include "sim/experiment.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/workload.hpp"
 
@@ -156,29 +158,75 @@ TEST(ExperimentEngine, MultiSeedResultsAreBitwiseStableAcrossWorkerCounts) {
   EXPECT_NE(s1.result.counters, s2.result.counters);
 }
 
+/// Serialized snapshot of `rs` with wall time, the one host-varying
+/// field, zeroed.
+std::string snapshot_json(const ResultSet& rs) {
+  ResultStore store;
+  store.set_zero_wall(true);
+  store.add_all(rs);
+  return store.to_json();
+}
+
+/// fig3's deep machine under the memory-bound load: FLUSH squashes from
+/// inside the tick (flush_after during event processing) and DWarn gates.
+RunGrid deep_mem_grid() {
+  RunGrid grid;
+  grid.machine(machine_spec("deep"))
+      .workload(workload_by_name("4-MEM"))
+      .policy(PolicyKind::Flush)
+      .policy(PolicyKind::DWarn)
+      .seed_count(2)
+      .length(tiny_run());
+  return grid;
+}
+
 TEST(ExperimentEngine, SameSeedIsBitwiseIdenticalAcrossWorkerCounts) {
   // The acceptance bar of the engine refactor: a grid must produce
   // byte-identical counter snapshots whether it runs sequentially or on
   // many workers.
-  const RunGrid grid = tiny_grid();
-  const ResultSet serial = ExperimentEngine(ThreadPool::shared(), 1).run(grid);
-  const ResultSet parallel = ExperimentEngine(ThreadPool::shared(), 0).run(grid);
+  struct Case {
+    const char* name;
+    RunGrid grid;
+  };
+  const Case cases[] = {
+      {"tiny", tiny_grid()},
+      {"deep 4-MEM", deep_mem_grid()},
+      {"fixture_icache", named_grid("fixture_icache")},
+  };
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ResultSet serial = ExperimentEngine(one).run(c.grid);
+    const ResultSet parallel = ExperimentEngine(four).run(c.grid);
 
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    const RunRecord& a = serial.records()[i];
-    const RunRecord& b = parallel.records()[i];
-    // Same record order regardless of completion order...
-    EXPECT_EQ(a.workload.name, b.workload.name);
-    EXPECT_EQ(a.policy, b.policy);
-    // ...and bitwise-identical outcomes.
-    EXPECT_EQ(a.result.cycles, b.result.cycles);
-    EXPECT_EQ(a.result.counters, b.result.counters);
-    ASSERT_EQ(a.result.thread_ipc.size(), b.result.thread_ipc.size());
-    for (std::size_t t = 0; t < a.result.thread_ipc.size(); ++t) {
-      EXPECT_EQ(a.result.thread_ipc[t], b.result.thread_ipc[t]);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      const RunRecord& a = serial.records()[i];
+      const RunRecord& b = parallel.records()[i];
+      // Same record order regardless of completion order...
+      EXPECT_EQ(a.workload.name, b.workload.name);
+      EXPECT_EQ(a.policy, b.policy);
+      EXPECT_EQ(a.seed, b.seed);
+      // ...and bitwise-identical outcomes.
+      EXPECT_EQ(a.result.cycles, b.result.cycles);
+      EXPECT_EQ(a.result.counters, b.result.counters);
+      ASSERT_EQ(a.result.thread_ipc.size(), b.result.thread_ipc.size());
+      for (std::size_t t = 0; t < a.result.thread_ipc.size(); ++t) {
+        EXPECT_EQ(a.result.thread_ipc[t], b.result.thread_ipc[t]);
+      }
+      EXPECT_EQ(a.result.throughput, b.result.throughput);
     }
-    EXPECT_EQ(a.result.throughput, b.result.throughput);
+    const std::string json = snapshot_json(serial);
+    EXPECT_EQ(json, snapshot_json(parallel));
+    // Each extra input actually exercised the path it was added for.
+    const std::string_view name = c.name;
+    if (name == "deep 4-MEM") {
+      EXPECT_GT(serial.get("4-MEM", "FLUSH").counters.at("core.flush_events"), 0u);
+    } else if (name == "fixture_icache") {
+      EXPECT_NE(json.find("imem.demand_misses"), std::string::npos);
+      EXPECT_NE(json.find("imem.itlb_misses"), std::string::npos);
+    }
   }
 }
 
@@ -219,25 +267,6 @@ TEST(ExperimentEngine, SoloIpcsComeFromSoloRuns) {
   const SoloIpcMap solo = rs.solo_ipcs();
   ASSERT_EQ(solo.size(), workload_by_name("2-MIX").benchmarks.size());
   for (const auto& [b, ipc] : solo) EXPECT_GT(ipc, 0.0);
-}
-
-// ---- legacy wrapper ----------------------------------------------------------
-
-TEST(MatrixResult, GetReportsMissingAndAvailableKeys) {
-  MatrixResult m;
-  SimResult r;
-  r.workload = "2-MIX";
-  r.policy = "ICOUNT";
-  m.add(r);
-  try {
-    (void)m.get("4-MEM", "FLUSH");
-    FAIL() << "expected std::out_of_range";
-  } catch (const std::out_of_range& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("workload=4-MEM"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("policy=FLUSH"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("workload=2-MIX"), std::string::npos) << msg;
-  }
 }
 
 // ---- ResultStore -------------------------------------------------------------

@@ -112,13 +112,6 @@ TEST_F(HierarchyTest, CountersDistinguishLoadsAndStores) {
   EXPECT_EQ(stats.value("mem.stores"), 1u);
 }
 
-TEST_F(HierarchyTest, ClearStateForgetsCaches) {
-  mem.load(0, 0x1000, 10);
-  mem.clear_state();
-  const auto out = mem.load(0, 0x1000, 100);
-  EXPECT_FALSE(out.l1_hit);
-}
-
 // --- The warm-region contract that DWarn's premise rests on ---------------
 
 TEST_F(HierarchyTest, WarmRegionMissesL1HitsL2Steady) {

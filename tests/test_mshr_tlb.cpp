@@ -43,13 +43,6 @@ TEST(Mshr, MergeCountsSecondaryMisses) {
   EXPECT_EQ(m.in_flight(), 1u);  // merges do not allocate
 }
 
-TEST(Mshr, ClearEmptiesFile) {
-  MshrFile m(2);
-  m.allocate(0x0, 10);
-  m.clear();
-  EXPECT_EQ(m.in_flight(), 0u);
-}
-
 TEST(Tlb, MissThenHitOnSamePage) {
   StatSet stats;
   Tlb t(TlbConfig{.name = "t", .entries = 8, .assoc = 2, .page_bytes = 8192}, stats);
@@ -71,14 +64,6 @@ TEST(Tlb, LruReplacementWithinSet) {
   EXPECT_TRUE(t.probe(0));
   EXPECT_FALSE(t.probe(1 * 4 * page));
   EXPECT_TRUE(t.probe(2 * 4 * page));
-}
-
-TEST(Tlb, ClearForgetsAll) {
-  StatSet stats;
-  Tlb t(TlbConfig{.name = "t", .entries = 8, .assoc = 2, .page_bytes = 8192}, stats);
-  t.access(0x0);
-  t.clear();
-  EXPECT_FALSE(t.probe(0x0));
 }
 
 }  // namespace

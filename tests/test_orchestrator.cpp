@@ -704,10 +704,12 @@ TEST(SubprocessLauncher, ArmedFaultDeadlineFiresAtPollAndKillsTheWorker) {
   const TempDir dir("dwarn_orch_armfire");
   // A "worker" guaranteed to outlive the deadline, so the kill is what
   // ends it — deterministic, unlike racing a real shard against a delay.
+  // `exec` makes the sleeper itself the launched pid: a `sleep` child of
+  // a killed shell would live on and hold the test's output pipe open.
   const std::string script = dir.path() + "/slow_worker.sh";
   {
     std::ofstream out(script);
-    out << "#!/bin/sh\nsleep 30\n";
+    out << "#!/bin/sh\nexec sleep 30\n";
   }
   std::filesystem::permissions(script, std::filesystem::perms::owner_all);
 

@@ -115,14 +115,6 @@ TEST(StallPolicy, NeverGatesTheOnlyThread) {
   EXPECT_EQ(p.gate_until(0), 0u);
 }
 
-TEST(StallPolicy, ResetClearsGates) {
-  FakeHost h;
-  StallPolicy p(h);
-  p.on_long_latency(0, 1, 10000);
-  p.reset();
-  EXPECT_EQ(p.gate_until(0), 0u);
-}
-
 // ---- FLUSH -------------------------------------------------------------------
 
 TEST(FlushPolicy, FlushesAndGates) {

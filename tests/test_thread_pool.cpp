@@ -13,13 +13,21 @@ namespace {
 
 TEST(ThreadPool, RunsEveryJobExactlyOnce) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(128);
-  std::vector<std::function<void()>> jobs;
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    jobs.emplace_back([&hits, i] { hits[i].fetch_add(1); });
+  struct Case {
+    std::size_t jobs;
+    std::size_t max_concurrency;  ///< 0 = pool width
+  };
+  // More jobs than workers, and a cap above the job count.
+  for (const Case c : {Case{128, 0}, Case{2, 16}}) {
+    SCOPED_TRACE(testing::Message() << c.jobs << " jobs, cap " << c.max_concurrency);
+    std::vector<std::atomic<int>> hits(c.jobs);
+    std::vector<std::function<void()>> jobs;
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      jobs.emplace_back([&hits, i] { hits[i].fetch_add(1); });
+    }
+    pool.run(std::move(jobs), c.max_concurrency);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
-  pool.run(std::move(jobs));
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ReusedAcrossSubmissions) {
