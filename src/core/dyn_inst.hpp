@@ -43,13 +43,11 @@ struct DynInst {
 
   // Branch state.
   bool mispredicted = false;
-  Addr pred_next_pc = 0;
   Ras::Checkpoint ras_cp{};
 
   // Load outcome (filled at issue).
   bool l1_miss = false;
   bool l2_miss = false;
-  bool tlb_miss = false;
 
   [[nodiscard]] bool renamed() const { return state != InstState::FrontEnd; }
   [[nodiscard]] bool completed(Cycle now) const {

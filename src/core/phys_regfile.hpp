@@ -6,6 +6,10 @@
 // allocating instruction is squashed. Readiness is a per-register
 // timestamp: a consumer may issue once every source's `ready_at` has
 // passed.
+//
+// The storage is sized once at construction and never resized, so the
+// address of a register's ready cell (ready_cell) stays valid for the
+// file's lifetime; issue-queue entries poll their sources through it.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +51,11 @@ class PhysRegFile {
     ready_at_[reg] = cycle;
   }
 
-  [[nodiscard]] bool ready(std::uint16_t reg, Cycle now) const {
+  /// The cell holding `reg`'s ready cycle: kNoCycle from alloc until its
+  /// producer issues, then the cycle its value becomes readable.
+  [[nodiscard]] const Cycle* ready_cell(std::uint16_t reg) const {
     DWARN_CHECK(reg < ready_at_.size());
-    return ready_at_[reg] <= now;
+    return &ready_at_[reg];
   }
 
   [[nodiscard]] std::size_t num_free() const { return free_list_.size(); }

@@ -47,18 +47,17 @@ class Ring {
   [[nodiscard]] const T& back() const { return (*this)[size_ - 1]; }
 
   /// Append and return a reference to the stored element.
-  T& push_back(T&& v) {
-    if (size_ == slots_.size()) grow();
-    T& slot = slots_[(head_pos_ + size_) & mask_];
-    slot = std::move(v);
-    ++size_;
+  T& push_back(const T& v) {
+    T& slot = append_slot();
+    slot = v;
     return slot;
   }
-  T& push_back(const T& v) {
-    if (size_ == slots_.size()) grow();
-    T& slot = slots_[(head_pos_ + size_) & mask_];
-    slot = v;
-    ++size_;
+  /// Append a value-initialized element and return it, so the caller fills
+  /// the slot in place. A slot handed back by pop_back comes back as T{},
+  /// never with its previous occupant's fields.
+  T& emplace_back() {
+    T& slot = append_slot();
+    slot = T{};
     return slot;
   }
 
@@ -79,7 +78,7 @@ class Ring {
     return head_pos_ + size_ - 1;
   }
   /// Whether `pos` currently names a live element. A dead position can be
-  /// re-occupied only through pop_back + push_back, which changes the
+  /// re-occupied only through pop_back and a later append, which changes the
   /// occupant's identity — callers verify dyn_id after the lookup.
   [[nodiscard]] bool live(std::uint64_t pos) const {
     return pos >= head_pos_ && pos - head_pos_ < size_;
@@ -88,6 +87,11 @@ class Ring {
   [[nodiscard]] const T& at_pos(std::uint64_t pos) const { return slots_[pos & mask_]; }
 
  private:
+  T& append_slot() {
+    if (size_ == slots_.size()) grow();
+    return slots_[(head_pos_ + size_++) & mask_];
+  }
+
   void grow() {
     std::vector<T> bigger(slots_.size() * 2);
     const std::size_t nmask = bigger.size() - 1;

@@ -152,16 +152,6 @@ DynInst* SmtCore::find(ThreadId tid, std::uint64_t dyn_id) {
   return &w[lo];
 }
 
-bool SmtCore::sources_ready(const DynInst& d) const {
-  if (d.src_phys0 != kNoReg &&
-      !regfile(d.ti.src_class[0]).ready(d.src_phys0, now_))
-    return false;
-  if (d.src_phys1 != kNoReg &&
-      !regfile(d.ti.src_class[1]).ready(d.src_phys1, now_))
-    return false;
-  return true;
-}
-
 void SmtCore::sample_occupancy() {
   for (std::size_t c = 0; c < kNumIssueClasses; ++c) {
     occ_iq_[c]->sample(iqs_[c].size());
@@ -258,7 +248,6 @@ void SmtCore::issue_one(DynInst& d) {
       d.complete_at = out.complete_at;
       d.l1_miss = !out.l1_hit;
       d.l2_miss = !out.l1_hit && !out.l2_hit;
-      d.tlb_miss = out.tlb_miss;
       loads_issued_.add();
       if (d.ti.dest_class != RegClass::None) {
         regfile(d.ti.dest_class).set_ready(d.dest_phys, d.complete_at);
@@ -330,23 +319,24 @@ void SmtCore::do_issue() {
     if (q.empty()) continue;
     // In-place compaction: issued entries drop out, waiting entries slide
     // forward in order (same result as the old keep-vector swap, without
-    // the per-cycle allocation).
+    // the per-cycle allocation). Readiness reads the entry's source cells;
+    // only an issuing entry touches its window slot.
     std::size_t kept = 0;
     for (std::size_t r = 0; r < q.size(); ++r) {
-      const QEntry e = q[r];
-      if (budget != 0 && fu != 0) {
-        DynInst* d = find_at(e.tid, e.dyn_id, e.wpos);
+      const IqEntry& e = q[r];
+      if (budget != 0 && fu != 0 && *e.src_ready[0] <= now_ &&
+          *e.src_ready[1] <= now_) {
+        DynInst* d = find_at(e.inst.tid, e.inst.dyn_id, e.inst.wpos);
         DWARN_CHECK(d != nullptr && d->state == InstState::InQueue);
-        if (sources_ready(*d)) {
-          issue_one(*d);
-          DWARN_CHECK(threads_[e.tid].icount > 0);
-          --threads_[e.tid].icount;
-          --budget;
-          --fu;
-          continue;
-        }
+        issue_one(*d);
+        DWARN_CHECK(threads_[e.inst.tid].icount > 0);
+        --threads_[e.inst.tid].icount;
+        --budget;
+        --fu;
+        continue;
       }
-      q[kept++] = e;
+      if (kept != r) q[kept] = e;
+      ++kept;
     }
     q.resize(kept);
   }
@@ -396,7 +386,9 @@ void SmtCore::do_rename() {
       d->old_phys = ctx.rmap.set(d->ti.dest_class, d->ti.dest_reg, dest);
     }
     d->state = InstState::InQueue;
-    iqs_[qc].push_back(QEntry{e.tid, d->dyn_id, d->wpos});
+    iqs_[qc].push_back(IqEntry{{src_ready_cell(d->ti.src_class[0], d->src_phys0),
+                                src_ready_cell(d->ti.src_class[1], d->src_phys1)},
+                               e});
     ++ctx.rename_idx;
     ++ctx.renamed_in_flight;
     DWARN_CHECK(frontend_live_ > 0);
@@ -453,11 +445,11 @@ void SmtCore::fetch_from_thread(ThreadId tid, unsigned& budget) {
       }
     }
 
-    DynInst d;
+    DynInst& d = ctx.window.emplace_back();
     d.tid = tid;
     d.dyn_id = ctx.next_dyn_id++;
+    d.wpos = ctx.window.pos_of_back();
     d.fetch_cycle = now_;
-    d.state = InstState::FrontEnd;
     bool stop_after = false;
 
     if (ctx.in_wrong_path) {
@@ -472,7 +464,6 @@ void SmtCore::fetch_from_thread(ThreadId tid, unsigned& budget) {
         const BranchPrediction pred =
             bpred_.predict(tid, pc, d.ti.branch, fall_through);
         bpred_.train(tid, pc, d.ti.branch, d.ti.taken, d.ti.next_pc);
-        d.pred_next_pc = pred.next_pc;
         d.ras_cp = pred.ras_cp;
         d.mispredicted = pred.next_pc != d.ti.next_pc;
         ctx.fetch_pc = pred.next_pc;
@@ -483,14 +474,12 @@ void SmtCore::fetch_from_thread(ThreadId tid, unsigned& budget) {
       }
     }
 
-    DynInst& nd = ctx.window.push_back(std::move(d));
-    nd.wpos = ctx.window.pos_of_back();
-    frontend_q_.push_back(QEntry{tid, nd.dyn_id, nd.wpos});
+    frontend_q_.push_back(QEntry{tid, d.dyn_id, d.wpos});
     ++frontend_live_;
     ++ctx.icount;
     fetched_.add();
-    if (nd.wrong_path) fetched_wrongpath_.add();
-    policy_->on_fetch(tid, nd.dyn_id, nd.ti);
+    if (d.wrong_path) fetched_wrongpath_.add();
+    policy_->on_fetch(tid, d.dyn_id, d.ti);
     --budget;
     ++taken_this_thread;
     if (stop_after) break;
@@ -557,7 +546,7 @@ std::size_t SmtCore::flush_after(ThreadId tid, std::uint64_t dyn_id) {
 void SmtCore::remove_from_iq(ThreadId tid, std::uint64_t dyn_id, IssueClass c) {
   auto& q = iqs_[static_cast<std::size_t>(c)];
   for (auto it = q.begin(); it != q.end(); ++it) {
-    if (it->tid == tid && it->dyn_id == dyn_id) {
+    if (it->inst.tid == tid && it->inst.dyn_id == dyn_id) {
       q.erase(it);
       return;
     }
@@ -570,6 +559,7 @@ bool SmtCore::check_invariants() const {
   // renamed in-flight destinations.
   std::size_t expect_int = threads_.size() * kArchRegs;
   std::size_t expect_fp = threads_.size() * kArchRegs;
+  std::array<std::size_t, kNumIssueClasses> in_queue{};
   for (const ThreadCtx& ctx : threads_) {
     unsigned icnt = 0;
     unsigned renamed = 0;
@@ -589,14 +579,31 @@ bool SmtCore::check_invariants() const {
         if (d.ti.dest_class == RegClass::Fp) ++expect_fp;
       }
       if (d.state == InstState::FrontEnd || d.state == InstState::InQueue) ++icnt;
+      if (d.state == InstState::InQueue) {
+        ++in_queue[static_cast<std::size_t>(issue_class_of(d.ti.cls))];
+      }
     }
     DWARN_CHECK(icnt == ctx.icount);
     DWARN_CHECK(renamed == ctx.renamed_in_flight);
   }
   DWARN_CHECK(int_regs_.num_allocated() == expect_int);
   DWARN_CHECK(fp_regs_.num_allocated() == expect_fp);
+  // Issue queues: each entry names a live InQueue instruction of its class
+  // and polls exactly that instruction's renamed sources; each class holds
+  // its whole InQueue population.
   for (std::size_t c = 0; c < kNumIssueClasses; ++c) {
     DWARN_CHECK(iqs_[c].size() <= cfg_.iq_capacity[c]);
+    DWARN_CHECK(iqs_[c].size() == in_queue[c]);
+    for (const IqEntry& e : iqs_[c]) {
+      DWARN_CHECK(e.inst.tid < threads_.size());
+      const Ring<DynInst>& w = threads_[e.inst.tid].window;
+      DWARN_CHECK(w.live(e.inst.wpos));
+      const DynInst& d = w.at_pos(e.inst.wpos);
+      DWARN_CHECK(d.dyn_id == e.inst.dyn_id && d.state == InstState::InQueue);
+      DWARN_CHECK(static_cast<std::size_t>(issue_class_of(d.ti.cls)) == c);
+      DWARN_CHECK(e.src_ready[0] == src_ready_cell(d.ti.src_class[0], d.src_phys0));
+      DWARN_CHECK(e.src_ready[1] == src_ready_cell(d.ti.src_class[1], d.src_phys1));
+    }
   }
   // Shared front end: live entries equal the FrontEnd-state population.
   std::size_t fe = 0;

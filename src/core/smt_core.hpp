@@ -24,8 +24,11 @@
 // Hot-path layout (docs/core_perf.md): the event calendar is a flat
 // bucket-ring EventWheel, and the instruction windows and the shared
 // front-end queue are flat Rings with stable positions (O(1) instruction
-// lookup from queue/event entries). There is one tick loop; it calls the
-// fetch policy through its FetchPolicy interface.
+// lookup from queue/event entries); fetch fills its window slot in place.
+// Issue-queue entries carry their sources' register ready cells, so the
+// per-cycle readiness poll reads two cycles per entry and looks up the
+// window only for an instruction it issues. There is one tick loop; it
+// calls the fetch policy through its FetchPolicy interface.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +68,10 @@ class SmtCore final : public PolicyHost {
  public:
   SmtCore(const CoreConfig& cfg, MemoryHierarchy& mem, FrontEndPredictor& bpred,
           std::vector<ThreadProgram> programs, StatSet& stats);
+  // Issue-queue entries point into this core's register files, so a copy
+  // would poll another core's registers.
+  SmtCore(const SmtCore&) = delete;
+  SmtCore& operator=(const SmtCore&) = delete;
 
   /// Install the fetch policy (must be set before the first tick()).
   void set_policy(FetchPolicy* policy);
@@ -108,10 +115,10 @@ class SmtCore final : public PolicyHost {
   [[nodiscard]] std::size_t free_fp_regs() const { return fp_regs_.num_free(); }
 
   /// Verify structural invariants (register conservation, window ordering,
-  /// queue consistency, icount accounting). Aborts via DWARN_CHECK inside;
-  /// returns true so tests can assert on it. The full walk runs in every
-  /// build when called explicitly; tick() additionally calls it
-  /// periodically under DWARN_EXPENSIVE_CHECKS (debug builds).
+  /// front-end and issue-queue consistency, icount accounting). Aborts via
+  /// DWARN_CHECK inside; returns true so tests can assert on it. The full
+  /// walk runs in every build when called explicitly; tick() additionally
+  /// calls it periodically under DWARN_EXPENSIVE_CHECKS (debug builds).
   bool check_invariants() const;
 
  private:
@@ -120,6 +127,19 @@ class SmtCore final : public PolicyHost {
     std::uint64_t dyn_id;
     std::uint64_t wpos;  ///< window-ring position of the instruction
   };
+
+  /// Issue-queue entry: the instruction's handle plus the ready cells of
+  /// its two sources, so the per-cycle readiness poll touches no window
+  /// entry. An absent source points at kReadyCell. A cell read here is the
+  /// same PhysRegFile cell the source's producer writes at issue, and it
+  /// stays that register's until the entry leaves the queue: a source is
+  /// freed only when its next writer (younger than the consumer) commits,
+  /// or when a squash that also takes the consumer releases it.
+  struct IqEntry {
+    const Cycle* src_ready[2];
+    QEntry inst;
+  };
+  static constexpr Cycle kReadyCell = 0;
 
   struct EventRec {
     enum class Kind : std::uint8_t {
@@ -192,7 +212,10 @@ class SmtCore final : public PolicyHost {
   [[nodiscard]] const PhysRegFile& regfile(RegClass c) const {
     return c == RegClass::Fp ? fp_regs_ : int_regs_;
   }
-  [[nodiscard]] bool sources_ready(const DynInst& d) const;
+  /// The ready cell an issue-queue entry polls for one renamed source.
+  [[nodiscard]] const Cycle* src_ready_cell(RegClass c, std::uint16_t phys) const {
+    return phys == kNoReg ? &kReadyCell : regfile(c).ready_cell(phys);
+  }
   [[nodiscard]] Addr iline_of(Addr pc) const {
     // Fetch fragments on the line granularity of whichever instruction
     // cache actually serves ifetch (modeled subsystem when enabled).
@@ -209,7 +232,7 @@ class SmtCore final : public PolicyHost {
   std::vector<ThreadCtx> threads_;
   PhysRegFile int_regs_;
   PhysRegFile fp_regs_;
-  std::array<std::vector<QEntry>, kNumIssueClasses> iqs_;
+  std::array<std::vector<IqEntry>, kNumIssueClasses> iqs_;
 
   /// Shared in-order front end: fetched instructions of every context in
   /// fetch order. Rename consumes the head; a head that cannot get its

@@ -54,16 +54,25 @@ class MshrFile {
     for (auto& e : entries_) {
       if (!e.valid) {
         e = MshrEntry{line, ready_at, 0, true};
+        if (ready_at < earliest_) earliest_ = ready_at;
         return true;
       }
     }
     return false;
   }
 
-  /// Retire every entry whose fill has arrived by `now`.
+  /// Retire every entry whose fill has arrived by `now`. Called every
+  /// cycle, so it returns at once while no fill can be due yet.
   void expire(Cycle now) {
+    if (now < earliest_) return;
+    earliest_ = kNoCycle;
     for (auto& e : entries_) {
-      if (e.valid && e.ready_at <= now) e.valid = false;
+      if (!e.valid) continue;
+      if (e.ready_at <= now) {
+        e.valid = false;
+      } else if (e.ready_at < earliest_) {
+        earliest_ = e.ready_at;
+      }
     }
   }
 
@@ -78,6 +87,7 @@ class MshrFile {
 
  private:
   std::vector<MshrEntry> entries_;
+  Cycle earliest_ = kNoCycle;  ///< earliest ready_at among valid entries
 };
 
 }  // namespace dwarn

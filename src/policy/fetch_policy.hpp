@@ -120,8 +120,8 @@ class FetchPolicy {
  protected:
   PolicyHost& host_;
 
-  /// Shared helper: sort `tids` by ascending ICOUNT (ties: lower tid),
-  /// the ICOUNT priority rule used inside most policies.
+  /// Shared helper: sort `tids` by ascending ICOUNT (ties keep their
+  /// order in `tids`), the ICOUNT priority rule used inside most policies.
   void sort_by_icount(std::vector<ThreadId>& tids) const;
 };
 

@@ -24,6 +24,23 @@ TEST(Mshr, ExpireRemovesCompleted) {
   m.expire(60);
   EXPECT_FALSE(m.lookup(0x1000).has_value());
   EXPECT_TRUE(m.lookup(0x2000).has_value());
+
+  // An allocation after an early-out expire lowers the earliest fill, so
+  // the next expire still frees it (and only it).
+  MshrFile s(4);
+  s.allocate(0x1000, 100);
+  EXPECT_EQ(s.in_flight(), 1u);
+  s.expire(50);
+  EXPECT_EQ(s.in_flight(), 1u);
+  s.allocate(0x2000, 60);
+  EXPECT_EQ(s.in_flight(), 2u);
+  s.expire(61);
+  EXPECT_EQ(s.in_flight(), 1u);
+  EXPECT_FALSE(s.lookup(0x2000).has_value());
+  EXPECT_TRUE(s.lookup(0x1000).has_value());
+  s.expire(100);
+  EXPECT_EQ(s.in_flight(), 0u);
+  EXPECT_FALSE(s.lookup(0x1000).has_value());
 }
 
 TEST(Mshr, FullFileRefusesAllocation) {

@@ -61,6 +61,13 @@ TEST(ICountPolicy, TiesKeepCandidateOrder) {
   h.icounts = {7, 7, 7, 7};
   ICountPolicy p(h);
   EXPECT_EQ(order_of(p, {2, 0, 3, 1}), (std::vector<ThreadId>{2, 0, 3, 1}));
+
+  // Eight candidates mixing ties and descending counts: equal ICOUNTs
+  // keep their candidate order, not tid order.
+  h.threads = 8;
+  h.icounts = {9, 4, 9, 2, 4, 9, 2, 0};
+  EXPECT_EQ(order_of(p, {5, 2, 6, 4, 0, 1, 3, 7}),
+            (std::vector<ThreadId>{7, 6, 3, 4, 1, 5, 2, 0}));
 }
 
 TEST(RoundRobinPolicy, Rotates) {

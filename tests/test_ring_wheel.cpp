@@ -23,9 +23,21 @@ TEST(Ring, FifoAndLifoMixMatchesDeque) {
     x ^= x << 5;
     return x;
   };
+  std::size_t reused_after_pop = 0;
+  bool last_was_pop_back = false;
   for (int step = 0; step < 20000; ++step) {
-    const std::uint32_t op = rnd() % 4;
-    if (op < 2 || ref.empty()) {
+    const std::uint32_t op = rnd() % 5;
+    const bool popped_back = last_was_pop_back;
+    last_was_pop_back = false;
+    if (op == 4) {
+      // In-place append: the slot comes back value-initialized even when
+      // pop_back just vacated it, so nothing of its old occupant leaks.
+      int& slot = ring.emplace_back();
+      ASSERT_EQ(slot, 0);
+      if (popped_back) ++reused_after_pop;
+      slot = static_cast<int>(rnd());
+      ref.push_back(slot);
+    } else if (op < 2 || ref.empty()) {
       const int v = static_cast<int>(rnd());
       ring.push_back(v);
       ref.push_back(v);
@@ -35,6 +47,7 @@ TEST(Ring, FifoAndLifoMixMatchesDeque) {
     } else {
       ring.pop_back();
       ref.pop_back();
+      last_was_pop_back = true;
     }
     ASSERT_EQ(ring.size(), ref.size());
     if (!ref.empty()) {
@@ -43,6 +56,7 @@ TEST(Ring, FifoAndLifoMixMatchesDeque) {
     }
   }
   for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(ring[i], ref[i]);
+  EXPECT_GT(reused_after_pop, 0u);
 }
 
 TEST(Ring, PositionsAreStableAcrossGrowthAndPops) {
